@@ -31,9 +31,11 @@
 package ops
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"pipes/internal/aggregate"
 	"pipes/internal/temporal"
@@ -78,26 +80,68 @@ func init() {
 	gob.Register([]any{}) // MJoin result tuples
 }
 
-// canonKey renders a map key for canonical checkpoint ordering. Checkpoint
-// bytes must be a pure function of the operator's logical state — the
-// byte-identical-snapshot guarantee the batch/scalar differential harness
-// asserts — so every map-derived collection is sorted by this rendering
-// before encoding instead of leaking Go's randomised map iteration order.
-// Rendering cost is paid only at checkpoint time, never on the hot path.
+// canonKey renders a value or map key for canonical checkpoint ordering.
+// Checkpoint bytes must be a pure function of the operator's logical
+// state — the byte-identical-snapshot guarantee the batch/scalar
+// differential harness asserts, and what keeps consecutive rounds
+// byte-stable for the delta chain — so every map-derived collection is
+// ordered by this rendering instead of leaking Go's randomised map
+// iteration order. The rendering goes through fmt reflection, so it is
+// never called from a comparator: canonSort renders each key once, and
+// orders sweep-area and group multisets by (Start, End) first so that
+// only elements inside an equal-interval run are rendered at all. Besides
+// the checkpoint writer, the end-of-stream flushes of PartitionedWindow
+// and Coalesce pay it once per live key.
 func canonKey(k any) string { return fmt.Sprintf("%T|%v", k, k) }
 
+// canonSort puts xs into canonical order: by prefix, a render-free
+// order (nil when there is none), then by the canonKey rendering of
+// key(x) among the elements prefix ranks equal. It is a decorate-sort:
+// each key in a tie run is rendered once into a parallel key column and
+// the run is sorted by that column. Elements whose prefix and rendering
+// both tie keep an unspecified relative order, as with any unstable
+// sort.
+func canonSort[T any](xs []T, prefix func(a, b T) int, key func(T) any) {
+	if prefix != nil {
+		slices.SortFunc(xs, prefix)
+	}
+	var run []rendered[T] // reused across tie runs
+	for lo := 0; lo < len(xs); {
+		hi := lo + 1
+		for hi < len(xs) && (prefix == nil || prefix(xs[lo], xs[hi]) == 0) {
+			hi++
+		}
+		if hi-lo > 1 {
+			run = run[:0]
+			for _, x := range xs[lo:hi] {
+				run = append(run, rendered[T]{key: canonKey(key(x)), x: x})
+			}
+			slices.SortFunc(run, func(a, b rendered[T]) int { return strings.Compare(a.key, b.key) })
+			for i, r := range run {
+				xs[lo+i] = r.x
+			}
+		}
+		lo = hi
+	}
+}
+
+// rendered pairs an element with its canonKey rendering for canonSort.
+type rendered[T any] struct {
+	key string
+	x   T
+}
+
 // sortWire canonically orders a multiset of wire elements whose source
-// order is not semantically meaningful (sweep-area contents).
+// order is not semantically meaningful (sweep-area contents): by
+// (Start, End), then by the rendered value within each equal-interval
+// run.
 func sortWire(ws []wireElem) {
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Start != ws[j].Start {
-			return ws[i].Start < ws[j].Start
+	canonSort(ws, func(a, b wireElem) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if ws[i].End != ws[j].End {
-			return ws[i].End < ws[j].End
-		}
-		return canonKey(ws[i].Value) < canonKey(ws[j].Value)
-	})
+		return cmp.Compare(a.End, b.End)
+	}, func(w wireElem) any { return w.Value })
 }
 
 // orderBufferState is the serialised form of an orderBuffer: the pending
@@ -230,7 +274,7 @@ func (g *GroupBy) SnapshotState() (func(enc *gob.Encoder) error, error) {
 			sortWire(ws)
 			st.Groups = append(st.Groups, groupState{Key: c.key, LB: c.lb, Active: ws})
 		}
-		sort.Slice(st.Groups, func(i, j int) bool { return canonKey(st.Groups[i].Key) < canonKey(st.Groups[j].Key) })
+		canonSort(st.Groups, nil, func(g groupState) any { return g.Key })
 		return enc.Encode(st)
 	}, nil
 }
@@ -325,7 +369,7 @@ func (c diffCapture) wire() diffOpState {
 		InQ:  [2][]wireElem{toWire(c.inQ[0]), toWire(c.inQ[1])},
 		Out:  c.out.wire(),
 	}
-	sort.Slice(st.Keys, func(i, j int) bool { return canonKey(st.Keys[i].Key) < canonKey(st.Keys[j].Key) })
+	canonSort(st.Keys, nil, func(k diffKeyState) any { return k.Key })
 	for _, ev := range c.expiry {
 		st.Expiry = append(st.Expiry, wireDiffExpiry{End: ev.end, Key: ev.key, Input: ev.input})
 	}
@@ -545,7 +589,7 @@ func (w *PartitionedWindow) SnapshotState() (func(enc *gob.Encoder) error, error
 		for _, c := range caps {
 			st.Parts = append(st.Parts, partitionState{Key: c.key, Elems: toWire(c.elems)})
 		}
-		sort.Slice(st.Parts, func(i, j int) bool { return canonKey(st.Parts[i].Key) < canonKey(st.Parts[j].Key) })
+		canonSort(st.Parts, nil, func(p partitionState) any { return p.Key })
 		return enc.Encode(st)
 	}, nil
 }
