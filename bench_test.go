@@ -211,10 +211,13 @@ func BenchmarkE20_BatchedTransfer(b *testing.B) {
 // bare, with the flight recorder attached at every hop, and with the full
 // default monitoring stack (flight + metadata decorators). The ≤8%
 // acceptance envelope is the flight recorder (all its surfaces) vs bare;
-// the flight+monitors variant reports the complete stack for context.
+// the flight+monitors variant reports the complete stack for context, and
+// flight+monitors+trace adds 1-in-128 element tracing, the stack
+// Config.TelemetryAddr turns on.
 func BenchmarkE21_FlightOverhead(b *testing.B) {
 	b.Run("off", experiments.E21FlightOverhead(64, experiments.FlightOff))
 	b.Run("flight", experiments.E21FlightOverhead(64, experiments.FlightOn))
 	b.Run("flight+monitors", experiments.E21FlightOverhead(64, experiments.FlightFull))
+	b.Run("flight+monitors+trace", experiments.E21FlightOverhead(64, experiments.FlightTraced))
 	b.Run(bname("flight/batch", 8), experiments.E21FlightOverhead(8, experiments.FlightOn))
 }

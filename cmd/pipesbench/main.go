@@ -186,6 +186,7 @@ func main() {
 		row("off", bench(experiments.E21FlightOverhead(64, experiments.FlightOff)))
 		row("flight", bench(experiments.E21FlightOverhead(64, experiments.FlightOn)))
 		row("flight+monitors", bench(experiments.E21FlightOverhead(64, experiments.FlightFull)))
+		row("flight+monitors+trace", bench(experiments.E21FlightOverhead(64, experiments.FlightTraced)))
 		row("flight/batch=8", bench(experiments.E21FlightOverhead(8, experiments.FlightOn)))
 	}
 }

@@ -107,3 +107,49 @@ func TestRegisterPlanFromXMLRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestDeregisterDropsDecorators churns queries that share operators with
+// standing ones: every kill must take the decorators of the operators it
+// spliced out with it, so Monitors ends where the standing queries alone
+// put it.
+func TestDeregisterDropsDecorators(t *testing.T) {
+	gen := nexmark.NewGenerator(nexmark.Config{Seed: 11, MaxEvents: 100}, nil)
+	dsms := NewDSMS(Config{MonitorQueries: true})
+	dsms.RegisterStream("bids", gen.BidSource("bids"), 1000)
+	for _, text := range []string{
+		`SELECT auction, price FROM bids [RANGE 60000] WHERE price > 500`,
+		`SELECT auction FROM bids [RANGE 60000] WHERE price > 500`,
+		`SELECT auction, COUNT(*) AS n FROM bids [RANGE 60000] GROUP BY auction`,
+	} {
+		if _, err := dsms.RegisterQuery(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	standing := len(dsms.Monitors())
+	if standing == 0 || standing != dsms.Optimizer.OperatorCount() {
+		t.Fatalf("standing queries: %d monitors for %d operators", standing, dsms.Optimizer.OperatorCount())
+	}
+	churn := []string{
+		`SELECT auction, price FROM bids [RANGE 60000] WHERE price > 900`,
+		`SELECT bidder FROM bids [RANGE 60000] WHERE price > 500`,
+		`SELECT auction, MAX(price) AS top FROM bids [RANGE 60000] GROUP BY auction`,
+	}
+	for i := 0; i < 40; i++ {
+		q, err := dsms.RegisterQuery(churn[i%len(churn)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Instance.SharedNodes == 0 || q.Instance.NewNodes == 0 {
+			t.Fatalf("churn query %d shares %d and builds %d operators; want both", i, q.Instance.SharedNodes, q.Instance.NewNodes)
+		}
+		if err := dsms.DeregisterQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(dsms.Monitors()); got != standing {
+			t.Fatalf("after %d submit/kill pairs: %d monitors, standing queries alone have %d", i+1, got, standing)
+		}
+	}
+	if got := dsms.Optimizer.OperatorCount(); got != standing {
+		t.Fatalf("operators = %d, want %d", got, standing)
+	}
+}

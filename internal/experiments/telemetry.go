@@ -70,15 +70,7 @@ func E18Telemetry(mode TelemetryMode, traceEvery int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		if tracer != nil {
-			// The stream feed tags sampled elements exactly as
-			// DSMS.RegisterStream does in a telemetry-enabled engine.
-			src.SetTransferHook(func(e temporal.Element) temporal.Element {
-				if tr := tracer.MaybeTrace(); tr != nil {
-					tr.Hop("traffic", "emit", e.Start)
-					return telemetry.Attach(e, tr)
-				}
-				return e
-			})
+			tagSampled(src, "traffic", tracer)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -91,6 +83,18 @@ func E18Telemetry(mode TelemetryMode, traceEvery int) func(b *testing.B) {
 			b.ReportMetric(float64(tracer.Sampled()), "traces")
 		}
 	}
+}
+
+// tagSampled makes the stream feed tag sampled elements exactly as
+// DSMS.RegisterStream does in a telemetry-enabled engine.
+func tagSampled(src interface{ SetTransferHook(pubsub.TransferHook) }, name string, tracer *telemetry.Tracer) {
+	src.SetTransferHook(func(e temporal.Element) temporal.Element {
+		if tr := tracer.MaybeTrace(); tr != nil {
+			tr.Hop(name, "emit", e.Start)
+			return telemetry.Attach(e, tr)
+		}
+		return e
+	})
 }
 
 // FlightMode selects the instrumentation level for E21.
@@ -107,18 +111,27 @@ const (
 	// engine's complete always-on monitoring stack, matching what a
 	// default-config DSMS (MonitorQueries plus flight recorder) runs.
 	FlightFull
+	// FlightTraced adds 1-in-E21TraceEvery element tracing on top of
+	// FlightFull: the stack Config.TelemetryAddr turns on (decorators with
+	// the tracer, TraceEvery at its default, flight recorder).
+	FlightTraced
 )
+
+// E21TraceEvery is the FlightTraced sampling interval, the facade's
+// TraceEvery default under TelemetryAddr.
+const E21TraceEvery = 128
 
 // E21FlightOverhead measures monitoring overhead on the batched transfer
 // lane: the E20 full chain (boundaries included) at the given frame size,
 // bare vs flight-recorded vs flight+metadata. The flight recorder hangs
 // off the hot path at every TransferBatch and buffer enqueue/drain, so
 // the flight-vs-off delta is the number the ≤8% acceptance envelope is
-// measured against; flight+metadata reports the complete default stack.
+// measured against; flight+metadata reports the complete default stack
+// and flight+metadata+trace the stack a telemetry-enabled engine runs.
 func E21FlightOverhead(frame int, mode FlightMode) func(b *testing.B) {
 	return func(b *testing.B) {
 		src := e20Source("traffic", b.N)
-		c, tasks, instrumented := e21Graph(src, mode == FlightFull)
+		c, tasks, instrumented := e21Graph(src, mode)
 		var rec *flight.Recorder
 		if mode != FlightOff {
 			rec = newE21Recorder(src, tasks, instrumented)
@@ -142,17 +155,24 @@ func E21FlightOverhead(frame int, mode FlightMode) func(b *testing.B) {
 }
 
 // e21Graph wires the E20 full chain (filter/map-dense segment plus the
-// stateful window/aggregate tail, both scheduler boundaries) with optional
-// metadata decoration, returning the per-operator flight attachment points
-// keyed by name (the decorators delegate transfers through their own
-// SourceBase, so refs attach to whichever node actually publishes).
-func e21Graph(feed pubsub.Source, monitored bool) (*pubsub.Counter, []*sched.BufferTask, map[string]flightAttachable) {
+// stateful window/aggregate tail, both scheduler boundaries) with the
+// metadata decoration and tracing mode asks for, returning the
+// per-operator flight attachment points keyed by name (the decorators
+// delegate transfers through their own SourceBase, so refs attach to
+// whichever node actually publishes).
+func e21Graph(feed *pubsub.FuncSource, mode FlightMode) (*pubsub.Counter, []*sched.BufferTask, map[string]flightAttachable) {
+	var opts []metadata.Option
+	if mode == FlightTraced {
+		tracer := telemetry.NewTracer(E21TraceEvery, 0)
+		tagSampled(feed, "traffic", tracer)
+		opts = append(opts, metadata.WithTracer(tracer))
+	}
 	instrumented := map[string]flightAttachable{}
 	wrap := func(p pubsub.Pipe) pubsub.Pipe {
 		name := p.(pubsub.Node).Name()
 		var out pubsub.Pipe = p
-		if monitored {
-			out = metadata.NewMonitored(p)
+		if mode >= FlightFull {
+			out = metadata.NewMonitored(p, opts...)
 		}
 		instrumented[name] = out.(flightAttachable)
 		return out

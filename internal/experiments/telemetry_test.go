@@ -12,7 +12,7 @@ import (
 func TestE21InstrumentationIsInert(t *testing.T) {
 	run := func(mode FlightMode) int64 {
 		src := e20Source("traffic", 20_000)
-		c, tasks, instrumented := e21Graph(src, mode == FlightFull)
+		c, tasks, instrumented := e21Graph(src, mode)
 		if mode != FlightOff {
 			rec := newE21Recorder(src, tasks, instrumented)
 			defer func() {
@@ -32,7 +32,7 @@ func TestE21InstrumentationIsInert(t *testing.T) {
 	if want == 0 {
 		t.Fatal("bare lane produced no output")
 	}
-	for _, mode := range []FlightMode{FlightOn, FlightFull} {
+	for _, mode := range []FlightMode{FlightOn, FlightFull, FlightTraced} {
 		if got := run(mode); got != want {
 			t.Errorf("mode %d produced %d outputs, bare lane %d", mode, got, want)
 		}

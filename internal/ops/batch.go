@@ -8,6 +8,9 @@
 // through an order buffer keep releasing per element (identical emission
 // order to the scalar lane) but collect the released elements into a
 // single downstream frame, so batching survives across the operator.
+// End-of-stream flushes send frames as well, on both lanes: every order
+// buffer's flush hands its remaining results to TransferBatch in Start
+// order, cut into frames of at most flushFrame (64) elements.
 //
 // Output frames are built in per-operator scratch reused across calls:
 // under the temporal.Batch borrow contract the downstream borrow ends

@@ -192,7 +192,7 @@ func TestCanonicalOrderMatchesReference(t *testing.T) {
 					w.out.add(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 				}
 			}
-			w.out.flush(w.Transfer)
+			w.out.flush(w.TransferBatch)
 		}},
 		{"Coalesce.finish", func() pubsub.Pipe { return NewCoalesce("c", tupleKey) }, func(op pubsub.Pipe) {
 			c := op.(*Coalesce)
@@ -205,7 +205,7 @@ func TestCanonicalOrderMatchesReference(t *testing.T) {
 				c.out.add(c.pending[k].value)
 				delete(c.pending, k)
 			}
-			c.out.flush(c.Transfer)
+			c.out.flush(c.TransferBatch)
 		}},
 	}
 	for _, tc := range flushCases {

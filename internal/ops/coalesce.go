@@ -130,7 +130,7 @@ func (c *Coalesce) finish() {
 		c.out.add(c.pending[k].value)
 		delete(c.pending, k)
 	}
-	c.out.flush(c.Transfer)
+	c.out.flush(c.TransferBatch)
 }
 
 // PendingSpans returns the number of open spans — for memory accounting.

@@ -29,7 +29,7 @@ type diffState struct {
 	value  any // representative output value for the key
 	counts [2]int
 	lb     temporal.Time
-	trace  any // trace slot of the latest traced contributor
+	trace  any // trace slot of the latest traced contributor, until its next output
 }
 
 type diffExpiry struct {
@@ -57,12 +57,19 @@ func NewDifference(name string, key KeyFunc) *Difference {
 	d.OnInputDone = func(input int) {
 		d.inDone[input] = true
 		d.out.markDone(input)
-		d.pump()
+		if d.inDone[0] && d.inDone[1] {
+			return // OnAllDone pumps next, into the same frames as its flush
+		}
+		w := frameWriter{send: d.TransferBatch}
+		d.pump(w.emit)
+		w.close()
 	}
 	d.OnAllDone = func() {
-		d.pump()
+		w := frameWriter{send: d.TransferBatch}
+		d.pump(w.emit)
 		d.advance(temporal.MaxTime)
-		d.out.flush(d.Transfer)
+		d.out.release(temporal.MaxTime, w.emit)
+		w.close()
 	}
 	return d
 }
@@ -73,13 +80,13 @@ func (d *Difference) Process(e temporal.Element, input int) {
 	defer d.ProcMu.Unlock()
 	d.inQ[input].Enqueue(e)
 	d.out.observe(input, e.Start)
-	d.pump()
+	d.pump(d.Transfer)
 }
 
-// pump applies queued arrivals in global Start order; an arrival is
-// applicable once the other input's queue has a head (or is done) that
-// proves no earlier element can arrive.
-func (d *Difference) pump() {
+// pump applies queued arrivals in global Start order, then releases
+// through emit; an arrival is applicable once the other input's queue has
+// a head (or is done) that proves no earlier element can arrive.
+func (d *Difference) pump(emit func(temporal.Element)) {
 	for {
 		i := d.nextInput()
 		if i < 0 {
@@ -88,7 +95,7 @@ func (d *Difference) pump() {
 		e, _ := d.inQ[i].Dequeue()
 		d.apply(i, e)
 	}
-	d.out.release(d.bound(), d.Transfer)
+	d.out.release(d.bound(), emit)
 }
 
 func (d *Difference) nextInput() int {
@@ -154,9 +161,16 @@ func (d *Difference) advance(t temporal.Time) {
 // emitSpan buffers max(0, m₀−m₁) copies of the key's value over
 // [st.lb, to).
 func (d *Difference) emitSpan(st *diffState, to temporal.Time) {
-	m := st.counts[0] - st.counts[1]
+	st.emitCopies(d.out, st.counts[0]-st.counts[1], to)
+}
+
+// emitCopies buffers m copies of the key's value over [st.lb, to). The
+// stored trace rides on the first copy only and then leaves the slot, so
+// one traced contributor marks exactly one derived output.
+func (st *diffState) emitCopies(out *orderBuffer, m int, to temporal.Time) {
 	for i := 0; i < m; i++ {
-		d.out.add(temporal.Element{Value: st.value, Interval: temporal.NewInterval(st.lb, to), Trace: st.trace})
+		out.add(temporal.Element{Value: st.value, Interval: temporal.NewInterval(st.lb, to), Trace: st.trace})
+		st.trace = nil
 	}
 }
 

@@ -396,12 +396,12 @@ func mergedFeed(inputs [][]temporal.Element) []feedItem {
 // consecutive same-input items into frames of at most that size, cut at
 // every barrier position, delivered through the batch lane. barriers are
 // sorted schedule positions; barrier k+1 is injected on every input when
-// position barriers[k] is reached. Returns the exact output sequence and
+// position barriers[k] is reached. Returns the exact output sequence,
 // the per-barrier gob snapshot (nil entries when the operator saves no
-// state).
-func runOpLane(op pubsub.Pipe, arity int, schedule []feedItem, barriers []int, frame int) ([]temporal.Element, [][]byte) {
-	var out []temporal.Element
-	op.Subscribe(newCollectSink(&out), 0)
+// state) and, per Done call, the sizes of the frames that call sent.
+func runOpLane(op pubsub.Pipe, arity int, schedule []feedItem, barriers []int, frame int) ([]temporal.Element, [][]byte, [][]int) {
+	sink := &frameSink{}
+	op.Subscribe(sink, 0)
 
 	snaps := make([][]byte, len(barriers))
 	type hooked interface {
@@ -470,10 +470,53 @@ func runOpLane(op pubsub.Pipe, arity int, schedule []feedItem, barriers []int, f
 		next++
 	}
 	flush()
+	done := make([][]int, arity)
 	for i := 0; i < arity; i++ {
+		sink.frames = nil
 		op.Done(i)
+		done[i] = sink.frames
 	}
-	return out, snaps
+	return sink.out, snaps, done
+}
+
+// frameSink collects every element it receives and the size of every
+// delivery: a ProcessBatch frame, or 1 for a scalar Process call.
+type frameSink struct {
+	out    []temporal.Element
+	frames []int
+}
+
+func (s *frameSink) Name() string { return "frames" }
+
+func (s *frameSink) Process(e temporal.Element, _ int) {
+	s.out = append(s.out, e)
+	s.frames = append(s.frames, 1)
+}
+
+func (s *frameSink) ProcessBatch(b temporal.Batch, _ int) {
+	s.out = append(s.out, b...)
+	s.frames = append(s.frames, len(b))
+}
+
+func (s *frameSink) Done(_ int) {}
+
+// checkDoneFrames asserts that everything one Done call emitted went out
+// in at most ⌈n/flushFrame⌉ frames of at most flushFrame elements.
+func checkDoneFrames(t *testing.T, what string, done [][]int) {
+	t.Helper()
+	for input, frames := range done {
+		n := 0
+		for _, f := range frames {
+			if f > flushFrame {
+				t.Fatalf("%s: Done(%d) sent a frame of %d elements, limit %d", what, input, f, flushFrame)
+			}
+			n += f
+		}
+		if want := (n + flushFrame - 1) / flushFrame; len(frames) > want {
+			t.Fatalf("%s: Done(%d) sent %d elements in %d frames %v, want at most %d",
+				what, input, n, len(frames), frames, want)
+		}
+	}
 }
 
 // TestScalarBatchDifferential is the operator-level differential table:
@@ -502,6 +545,9 @@ func TestScalarBatchDifferential(t *testing.T) {
 		{"tumbling-window", 1, func() pubsub.Pipe { return NewTumblingWindow("w", 10) }},
 		{"count-window", 1, func() pubsub.Pipe { return NewCountWindow("w", 5) }},
 		{"partitioned-window", 1, func() pubsub.Pipe { return NewPartitionedWindow("w", key3, 4) }},
+		{"coalesce", 1, func() pubsub.Pipe { return NewCoalesce("c", key3) }},
+		{"split", 1, func() pubsub.Pipe { return NewSplit("s", 4) }},
+		{"dstream", 1, func() pubsub.Pipe { return NewDStream("d") }},
 	}
 
 	for ci, tc := range cases {
@@ -521,9 +567,11 @@ func TestScalarBatchDifferential(t *testing.T) {
 				}
 				sort.Ints(barriers)
 
-				scalarOut, scalarSnaps := runOpLane(tc.mk(), tc.arity, schedule, barriers, 0)
+				scalarOut, scalarSnaps, scalarDone := runOpLane(tc.mk(), tc.arity, schedule, barriers, 0)
+				checkDoneFrames(t, "scalar lane", scalarDone)
 				for _, frame := range []int{1, 7, 64} {
-					batchOut, batchSnaps := runOpLane(tc.mk(), tc.arity, schedule, barriers, frame)
+					batchOut, batchSnaps, batchDone := runOpLane(tc.mk(), tc.arity, schedule, barriers, frame)
+					checkDoneFrames(t, "batch lane", batchDone)
 					if len(batchOut) != len(scalarOut) {
 						t.Fatalf("trial %d frame %d: output length %d, scalar %d",
 							trial, frame, len(batchOut), len(scalarOut))

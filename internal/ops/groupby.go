@@ -44,7 +44,7 @@ type group struct {
 	agg    aggregate.Aggregate
 	inv    aggregate.Invertible // non-nil fast path
 	lb     temporal.Time        // left boundary of the open span
-	trace  any                  // trace slot of the latest traced contributor
+	trace  any                  // trace slot of the latest traced contributor, until its next span
 }
 
 type expiryEvent struct {
@@ -182,13 +182,16 @@ func (g *GroupBy) recompute(grp *group) {
 	}
 }
 
-// emitSpan buffers one output element for [grp.lb, to).
+// emitSpan buffers one output element for [grp.lb, to). The stored trace
+// rides on this span only: left in the slot it would mark every later
+// span of the group.
 func (g *GroupBy) emitSpan(key any, grp *group, to temporal.Time) {
 	g.out.add(temporal.Element{
 		Value:    g.outFn(key, grp.agg.Value()),
 		Interval: temporal.NewInterval(grp.lb, to),
 		Trace:    grp.trace,
 	})
+	grp.trace = nil
 }
 
 // bound returns the release bound: no future output can start before
@@ -218,7 +221,7 @@ func (g *GroupBy) finish() {
 	// Groups containing elements valid forever never see a closing
 	// boundary; advance(MaxTime) pops their expiry events (end==MaxTime)
 	// and emits their final spans, so nothing remains here.
-	g.out.flush(g.Transfer)
+	g.out.flush(g.TransferBatch)
 }
 
 // GroupCount returns the number of live groups — exposed for memory

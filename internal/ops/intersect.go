@@ -41,12 +41,19 @@ func NewIntersect(name string, key KeyFunc) *Intersect {
 	in.OnInputDone = func(input int) {
 		in.inDone[input] = true
 		in.out.markDone(input)
-		in.pump()
+		if in.inDone[0] && in.inDone[1] {
+			return // OnAllDone pumps next, into the same frames as its flush
+		}
+		w := frameWriter{send: in.TransferBatch}
+		in.pump(w.emit)
+		w.close()
 	}
 	in.OnAllDone = func() {
-		in.pump()
+		w := frameWriter{send: in.TransferBatch}
+		in.pump(w.emit)
 		in.advance(temporal.MaxTime)
-		in.out.flush(in.Transfer)
+		in.out.release(temporal.MaxTime, w.emit)
+		w.close()
 	}
 	return in
 }
@@ -57,10 +64,12 @@ func (in *Intersect) Process(e temporal.Element, input int) {
 	defer in.ProcMu.Unlock()
 	in.inQ[input].Enqueue(e)
 	in.out.observe(input, e.Start)
-	in.pump()
+	in.pump(in.Transfer)
 }
 
-func (in *Intersect) pump() {
+// pump applies queued arrivals in global Start order (see
+// Difference.pump), then releases through emit.
+func (in *Intersect) pump(emit func(temporal.Element)) {
 	for {
 		i := in.nextInput()
 		if i < 0 {
@@ -69,7 +78,7 @@ func (in *Intersect) pump() {
 		e, _ := in.inQ[i].Dequeue()
 		in.apply(i, e)
 	}
-	in.out.release(in.bound(), in.Transfer)
+	in.out.release(in.bound(), emit)
 }
 
 func (in *Intersect) nextInput() int {
@@ -133,13 +142,7 @@ func (in *Intersect) advance(t temporal.Time) {
 
 // emitSpan buffers min(m₀, m₁) copies of the key's value over [st.lb, to).
 func (in *Intersect) emitSpan(st *diffState, to temporal.Time) {
-	m := st.counts[0]
-	if st.counts[1] < m {
-		m = st.counts[1]
-	}
-	for i := 0; i < m; i++ {
-		in.out.add(temporal.Element{Value: st.value, Interval: temporal.NewInterval(st.lb, to), Trace: st.trace})
-	}
+	st.emitCopies(in.out, min(st.counts[0], st.counts[1]), to)
 }
 
 func (in *Intersect) bound() temporal.Time {

@@ -59,9 +59,9 @@ func NewJoin(name string, left, right sweeparea.SweepArea, pred Predicate2, comb
 	j.OnInputDone = func(input int) {
 		j.inDone[input] = true
 		j.out.markDone(input)
-		j.out.release(j.out.watermark(), j.Transfer)
+		j.out.releaseFrames(j.out.watermark(), j.TransferBatch)
 	}
-	j.OnAllDone = func() { j.out.flush(j.Transfer) }
+	j.OnAllDone = func() { j.out.flush(j.TransferBatch) }
 	return j
 }
 

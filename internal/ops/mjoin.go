@@ -42,9 +42,9 @@ func NewMJoin(name string, inputs int, key KeyFunc) *MJoin {
 	}
 	m.OnInputDone = func(input int) {
 		m.out.markDone(input)
-		m.out.release(m.out.watermark(), m.Transfer)
+		m.out.releaseFrames(m.out.watermark(), m.TransferBatch)
 	}
-	m.OnAllDone = func() { m.out.flush(m.Transfer) }
+	m.OnAllDone = func() { m.out.flush(m.TransferBatch) }
 	return m
 }
 

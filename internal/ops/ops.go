@@ -147,14 +147,45 @@ func (b *orderBuffer) release(bound temporal.Time, emit func(temporal.Element)) 
 	}
 }
 
-// flush emits everything remaining, in Start order.
-func (b *orderBuffer) flush(emit func(temporal.Element)) {
-	for {
-		e, ok := b.heap.Pop()
-		if !ok {
-			return
-		}
-		emit(e)
+// releaseFrames is release for end-of-stream: the released results go
+// out through send (the operator's TransferBatch) as frames.
+func (b *orderBuffer) releaseFrames(bound temporal.Time, send func(temporal.Batch)) {
+	w := frameWriter{send: send}
+	b.release(bound, w.emit)
+	w.close()
+}
+
+// flush emits everything remaining, in Start order, as frames.
+func (b *orderBuffer) flush(send func(temporal.Batch)) { b.releaseFrames(temporal.MaxTime, send) }
+
+// flushFrame is the largest frame an end-of-stream flush sends, the
+// scheduler's default frame (sched.Config.BatchSize). One frame for the
+// whole flush would hold every result of a large flush at once.
+const flushFrame = 64
+
+// frameWriter cuts a run of emitted elements into frames of at most
+// flushFrame elements. The frame is reused once send returns, as the
+// temporal.Batch borrow contract allows; close sends the partial tail.
+type frameWriter struct {
+	send  func(temporal.Batch)
+	frame temporal.Batch
+}
+
+func (w *frameWriter) emit(e temporal.Element) {
+	if w.frame == nil {
+		w.frame = make(temporal.Batch, 0, flushFrame)
+	}
+	w.frame = append(w.frame, e)
+	if len(w.frame) == flushFrame {
+		w.send(w.frame)
+		w.frame = w.frame[:0]
+	}
+}
+
+func (w *frameWriter) close() {
+	if len(w.frame) > 0 {
+		w.send(w.frame)
+		w.frame = w.frame[:0]
 	}
 }
 

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -537,9 +538,55 @@ func TestOrderBufferReleaseOrder(t *testing.T) {
 	if len(got) != 2 || got[0].Value != "a" || got[1].Value != "b" {
 		t.Fatalf("released %v", got)
 	}
-	b.flush(func(e temporal.Element) { got = append(got, e) })
+	b.flush(func(f temporal.Batch) { got = append(got, f...) })
 	if len(got) != 3 || got[2].Value != "c" {
 		t.Fatalf("flushed %v", got)
+	}
+}
+
+// TestOrderBufferFlushMatchesElementwise holds the framed end-of-stream
+// flush to the element-at-a-time pop loop it replaced: on tie-heavy
+// buffers (the heap's order among equal starts is the part a change could
+// disturb) both give the same sequence, and the frames number at most
+// ⌈n/flushFrame⌉.
+func TestOrderBufferFlushMatchesElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 63, 64, 65, 200, 1000} {
+		for _, bound := range []temporal.Time{temporal.MaxTime, 3} {
+			got, ref := newOrderBuffer(1), newOrderBuffer(1)
+			for i := 0; i < n; i++ {
+				s := temporal.Time(rng.Intn(6))
+				got.add(el(i, s, s+1))
+				ref.add(el(i, s, s+1))
+			}
+			var want []temporal.Element
+			for {
+				top, ok := ref.heap.Peek()
+				if !ok || top.Start > bound {
+					break
+				}
+				ref.heap.Pop()
+				want = append(want, top)
+			}
+			var out []temporal.Element
+			frames := 0
+			got.releaseFrames(bound, func(f temporal.Batch) {
+				if len(f) == 0 || len(f) > flushFrame {
+					t.Fatalf("n=%d: frame of %d elements", n, len(f))
+				}
+				frames++
+				out = append(out, f...)
+			})
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("n=%d bound=%d: framed flush order differs from the element-wise pop", n, bound)
+			}
+			if max := (len(want) + flushFrame - 1) / flushFrame; frames > max {
+				t.Fatalf("n=%d: %d frames for %d elements, want at most %d", n, frames, len(want), max)
+			}
+			if got.len() != ref.len() {
+				t.Fatalf("n=%d: %d left buffered, element-wise left %d", n, got.len(), ref.len())
+			}
+		}
 	}
 }
 

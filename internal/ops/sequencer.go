@@ -37,13 +37,15 @@ func NewSequencer(name string, slack temporal.Time) *Sequencer {
 		released: temporal.MinTime,
 	}
 	s.OnAllDone = func() {
+		w := frameWriter{send: s.TransferBatch}
 		for {
 			e, ok := s.buf.Pop()
 			if !ok {
-				return
+				break
 			}
-			s.Transfer(e)
+			w.emit(e)
 		}
+		w.close()
 	}
 	return s
 }

@@ -23,7 +23,7 @@ func NewSplit(name string, granule temporal.Time) *Split {
 		panic("ops: split granule must be positive")
 	}
 	s := &Split{PipeBase: pubsub.NewPipeBase(name, 1), granule: granule, out: newOrderBuffer(1)}
-	s.OnAllDone = func() { s.out.flush(s.Transfer) }
+	s.OnAllDone = func() { s.out.flush(s.TransferBatch) }
 	return s
 }
 

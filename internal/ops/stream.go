@@ -36,7 +36,7 @@ type DStream struct {
 // NewDStream returns a DSTREAM converter.
 func NewDStream(name string) *DStream {
 	d := &DStream{PipeBase: pubsub.NewPipeBase(name, 1), out: newOrderBuffer(1)}
-	d.OnAllDone = func() { d.out.flush(d.Transfer) }
+	d.OnAllDone = func() { d.out.flush(d.TransferBatch) }
 	return d
 }
 

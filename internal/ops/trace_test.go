@@ -140,3 +140,48 @@ func TestIntersectPropagatesTrace(t *testing.T) {
 		t.Fatalf("intersect dropped trace: out=%v", out)
 	}
 }
+
+// The stateful operators keep the latest traced contributor of a group or
+// key in a trace slot until its next derived output. The slot is used
+// once: one traced element followed by many untraced ones into the same
+// group or key must mark exactly one output, or a 1-in-N sample would
+// mark nearly every later output of the group.
+
+// oneTracedThenPlain returns a traced element at time 0 followed by n
+// untraced ones with the same value, each valid for span time units.
+func oneTracedThenPlain(v any, n int, span temporal.Time) ([]temporal.Element, *telemetry.Trace) {
+	first, tr := traced(el(v, 0, span))
+	in := []temporal.Element{first}
+	for i := 1; i <= n; i++ {
+		in = append(in, el(v, temporal.Time(i), temporal.Time(i)+span))
+	}
+	return in, tr
+}
+
+func TestGroupByTraceFollowsOneOutput(t *testing.T) {
+	in, tr := oneTracedThenPlain(1.0, 1000, 10)
+	out := runSingle(NewGroupBy("g", func(any) any { return "k" }, aggregate.NewSum, nil), in)
+	if hits := findTrace(out, tr); len(hits) != 1 || len(out) < 1000 {
+		t.Fatalf("%d of %d outputs carry the trace, want 1", len(hits), len(out))
+	}
+}
+
+func TestDifferenceTraceFollowsOneOutput(t *testing.T) {
+	in, tr := oneTracedThenPlain("k", 1000, 5)
+	out := runSequential(NewDifference("diff", nil), in, []temporal.Element{el("k", 2000, 2001)})
+	if hits := findTrace(out, tr); len(hits) != 1 || len(out) < 1000 {
+		t.Fatalf("%d of %d outputs carry the trace, want 1", len(hits), len(out))
+	}
+}
+
+func TestIntersectTraceFollowsOneOutput(t *testing.T) {
+	left, tr := oneTracedThenPlain("k", 1000, 5)
+	right := make([]temporal.Element, len(left))
+	for i, e := range left {
+		right[i] = el("k", e.Start, e.End)
+	}
+	out := runMerged(NewIntersect("isect", nil), left, right)
+	if hits := findTrace(out, tr); len(hits) != 1 || len(out) < 1000 {
+		t.Fatalf("%d of %d outputs carry the trace, want 1", len(hits), len(out))
+	}
+}

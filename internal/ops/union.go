@@ -23,9 +23,9 @@ func NewUnion(name string, inputs int) *Union {
 	u := &Union{PipeBase: pubsub.NewPipeBase(name, inputs), out: newOrderBuffer(inputs)}
 	u.OnInputDone = func(input int) {
 		u.out.markDone(input)
-		u.out.release(u.out.watermark(), u.Transfer)
+		u.out.releaseFrames(u.out.watermark(), u.TransferBatch)
 	}
-	u.OnAllDone = func() { u.out.flush(u.Transfer) }
+	u.OnAllDone = func() { u.out.flush(u.TransferBatch) }
 	return u
 }
 

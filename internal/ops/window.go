@@ -169,13 +169,15 @@ func (w *CountWindow) Process(e temporal.Element, _ int) {
 }
 
 func (w *CountWindow) fflush() {
+	fw := frameWriter{send: w.TransferBatch}
 	for {
 		old, ok := w.buf.Dequeue()
 		if !ok {
-			return
+			break
 		}
-		w.Transfer(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
+		fw.emit(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 	}
+	fw.close()
 }
 
 // PartitionedWindow implements the partitioned count window (CQL:
@@ -298,7 +300,7 @@ func (w *PartitionedWindow) fflush() {
 			w.out.add(old.WithInterval(temporal.NewInterval(old.Start, temporal.MaxTime)))
 		}
 	}
-	w.out.flush(w.Transfer)
+	w.out.flush(w.TransferBatch)
 }
 
 // String describes the window for EXPLAIN output.

@@ -72,6 +72,10 @@ type Instance struct {
 	// Created lists the newly created pipes (possibly decorated; for
 	// memory-manager and scheduler registration).
 	Created []pubsub.Pipe
+	// Removed lists the nodes RemoveQuery spliced out of the running
+	// graph when it released this instance: nodes no query references
+	// any more, shared ones included once their last query leaves.
+	Removed []pubsub.Source
 
 	// sigs are the signatures of every node this instance references
 	// (created or shared) — the refcounting unit for RemoveQuery.
@@ -350,6 +354,7 @@ func (o *Optimizer) RemoveQuery(inst *Instance) error {
 	inst.sigs = nil
 	var firstErr error
 	for _, e := range dead {
+		inst.Removed = append(inst.Removed, e.node)
 		sink, ok := e.node.(pubsub.Sink)
 		if !ok {
 			continue

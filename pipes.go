@@ -344,7 +344,8 @@ func (d *DSMS) RegisterQueryAdmitted(text string, admit optimizer.Admission) (*Q
 
 // DeregisterQuery removes a query from the engine: its plan drops its
 // references and operators no other query needs are spliced out of the
-// running graph and released from the memory manager.
+// running graph, released from the memory manager and, when decorated,
+// dropped from Monitors.
 func (d *DSMS) DeregisterQuery(q *Query) error {
 	if q == nil || q.dsms != d {
 		return fmt.Errorf("pipes: query not registered with this engine")
@@ -362,7 +363,30 @@ func (d *DSMS) DeregisterQuery(q *Query) error {
 	}
 	q.memSubs = nil
 	q.dsms = nil // marks the query as deregistered
-	return d.Optimizer.RemoveQuery(q.Instance)
+	err := d.Optimizer.RemoveQuery(q.Instance)
+	d.dropMonitors(q.Instance.Removed)
+	return err
+}
+
+// dropMonitors forgets the decorators among the spliced-out nodes.
+func (d *DSMS) dropMonitors(removed []pubsub.Source) {
+	if len(removed) == 0 {
+		return
+	}
+	dead := make(map[pubsub.Source]bool, len(removed))
+	for _, n := range removed {
+		dead[n] = true
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	kept := d.monitors[:0]
+	for _, m := range d.monitors {
+		if !dead[m] {
+			kept = append(kept, m)
+		}
+	}
+	clear(d.monitors[len(kept):])
+	d.monitors = kept
 }
 
 // RegisterPlan instantiates a pre-built logical plan (e.g. loaded from an
