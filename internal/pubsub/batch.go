@@ -70,14 +70,13 @@ func (s *SourceBase) TransferBatch(b temporal.Batch) {
 		// blocked only from its own control stream, which is serialised
 		// with this very call (the publisher delivers data and controls in
 		// order). The reverse transition (release) happens concurrently,
-		// so the blocked path falls back to per-element deliver with its
+		// so the blocked path parks element by element with park's
 		// under-lock re-check.
 		if sub.gate != nil && sub.gate.blockedInput(sub.Input) {
 			for _, e := range b {
-				if sub.gate.deliver(e, sub.Input, sub.Sink) {
-					continue
+				if !sub.gate.park(heldItem{e: e, input: sub.Input}, sub.Sink) {
+					sub.Sink.Process(e, sub.Input)
 				}
-				sub.Sink.Process(e, sub.Input)
 			}
 			continue
 		}

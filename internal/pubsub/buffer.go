@@ -14,11 +14,12 @@ import (
 // queued is one buffered element plus its enqueue wall-stamp (0 when
 // queue-time telemetry is off, so the hot path pays no clock read).
 // When ctl is non-nil the entry is an in-band control element occupying
-// its stream position in the queue, and e is zero. When b is non-nil the
-// entry is a whole frame (batch lane): the buffer owns a copy of the
-// published frame — the buffer is the one asynchronous consumer, so it
-// cannot borrow (temporal.Batch) — and re-publishes it as one unit on
-// drain, recycling the backing array through a free list afterwards.
+// its stream position in the queue, and e is zero; end-of-stream is the
+// control endOfStream. When b is non-nil the entry is a whole frame
+// (batch lane): the buffer owns a copy of the published frame — the
+// buffer is the one asynchronous consumer, so it cannot borrow
+// (temporal.Batch) — and re-publishes it as one unit on drain, recycling
+// the backing array through a free list afterwards.
 // Controls always occupy their own entry, so a punctuation still cuts
 // cleanly between frames.
 type queued struct {
@@ -28,7 +29,7 @@ type queued struct {
 	ctl Control
 }
 
-// size returns how many work units (elements or controls) the entry
+// size returns how many work units (elements, controls or done) the entry
 // represents.
 func (q queued) size() int {
 	if q.b != nil {
@@ -58,9 +59,10 @@ func (systemClock) Now() time.Time { return time.Now() }
 // boundaries, where the scheduler decouples producer and consumer threads:
 // Process enqueues, Drain (called by the scheduler) dequeues and publishes.
 //
-// Done is deferred until the queue has drained, preserving end-of-stream
-// ordering. A buffer must be drained by a single scheduler thread at a
-// time; Process may be called concurrently with Drain.
+// Done is enqueued like a control, so it leaves the buffer behind every
+// element and control that preceded it. A buffer must be drained by a
+// single scheduler thread at a time; Process may be called concurrently
+// with Drain.
 type Buffer struct {
 	SourceBase
 
@@ -75,16 +77,10 @@ type Buffer struct {
 	// attached while the buffer is live.
 	clock atomic.Pointer[Clock]
 
-	mu           sync.Mutex
-	q            xds.Queue[queued]
-	count        int              // buffered work units: elements (frames count len) + controls
-	free         []temporal.Batch // recycled frame storage for ProcessBatch copies
-	upstreamDone bool
-	// draining marks an in-progress Drain: a dequeued element may still be
-	// in flight downstream even though the queue reads empty, so Done must
-	// leave end-of-stream propagation to the drainer (otherwise a sink
-	// could observe done before the final element).
-	draining bool
+	mu    sync.Mutex
+	q     xds.Queue[queued]
+	count int              // buffered work units: elements (frames count len) + controls + done
+	free  []temporal.Batch // recycled frame storage for ProcessBatch copies
 }
 
 // NewBuffer returns an unbounded buffer.
@@ -174,31 +170,21 @@ func (b *Buffer) HandleControl(c Control, _ int) {
 	b.mu.Unlock()
 }
 
-// Done implements Sink. Completion propagates immediately if the buffer is
-// empty and no drain is in flight, otherwise on the Drain call that
-// empties it.
-func (b *Buffer) Done(_ int) {
-	b.mu.Lock()
-	b.upstreamDone = true
-	fire := b.q.Len() == 0 && !b.draining
-	b.mu.Unlock()
-	if fire {
-		b.SignalDone()
-	}
-}
+// Done implements Sink by enqueueing end-of-stream at its arrival
+// position, like a control: the Drain call that dequeues it propagates
+// done downstream, after everything that preceded it.
+func (b *Buffer) Done(_ int) { b.HandleControl(endOfStream{}, 0) }
 
 // Drain dequeues and publishes up to max elements (all buffered elements
 // if max <= 0) and returns how many were transferred. A frame entry is
 // always re-published whole — a drain never splits a frame, so the count
-// may overshoot max by at most one frame. If the upstream has signalled
-// done and the buffer empties, done is propagated downstream. At most one
-// goroutine may drain at a time (the scheduler guarantees this via
-// single-owner task activation); Process and Done may be called
-// concurrently with Drain.
+// may overshoot max by at most one frame. Dequeuing the done entry
+// propagates done downstream. At most one goroutine may drain at a time
+// (the scheduler guarantees this via single-owner task activation);
+// Process and Done may be called concurrently with Drain.
 func (b *Buffer) Drain(max int) int {
 	n := 0
 	b.mu.Lock()
-	b.draining = true
 	for max <= 0 || n < max {
 		qe, ok := b.q.Dequeue()
 		if !ok {
@@ -207,6 +193,9 @@ func (b *Buffer) Drain(max int) int {
 		b.count -= qe.size()
 		b.mu.Unlock()
 		switch {
+		case qe.ctl == Control(endOfStream{}):
+			b.SignalDone()
+			n++
 		case qe.ctl != nil:
 			b.TransferControl(qe.ctl)
 			n++
@@ -236,15 +225,10 @@ func (b *Buffer) Drain(max int) int {
 		}
 		b.mu.Lock()
 	}
-	b.draining = false
-	finished := b.upstreamDone && b.q.Len() == 0
 	depth := b.count
 	b.mu.Unlock()
 	if ref := b.fref.Load(); ref != nil && n > 0 {
 		ref.Drained(n, depth)
-	}
-	if finished {
-		b.SignalDone()
 	}
 	return n
 }
@@ -349,16 +333,9 @@ func (b *Buffer) LoadState(dec *gob.Decoder) error {
 }
 
 // Len returns the number of buffered work units: data elements (a frame
-// counts its length) plus in-band controls.
+// counts its length) plus in-band controls and a pending done.
 func (b *Buffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.count
-}
-
-// UpstreamDone reports whether the producer side has signalled done.
-func (b *Buffer) UpstreamDone() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.upstreamDone
 }

@@ -9,22 +9,25 @@
 //
 // Delivery rules:
 //
+//   - One ordered path per edge: data, controls and end-of-stream (done)
+//     arrive in publication order, through direct calls, Gates and Buffers.
 //   - Direct connections: TransferControl hands the control synchronously
 //     to every subscriber implementing ControlSink; plain sinks
 //     (collectors, archives) do not see controls.
-//   - Buffers: controls are enqueued in FIFO position with the data and
-//     re-published when drained, so they keep their stream position
-//     across scheduler boundaries.
+//   - Buffers: controls and done are enqueued in FIFO position with the
+//     data and re-published when drained, so they keep their stream
+//     position across scheduler boundaries.
 //   - Multi-input operators: barriers align. The first barrier of a round
-//     blocks its input — subsequently published data elements on that
-//     input are held inside the operator's Gate, not processed — until
-//     the same barrier has arrived on every other open input. On
+//     blocks its input — everything subsequently published on it (data,
+//     controls, done) is parked inside the operator's Gate, not processed
+//     — until the same barrier has arrived on every other open input. On
 //     alignment the operator snapshots (OnBarrier hook, under ProcMu),
-//     forwards the barrier downstream, replays the held elements and
-//     finally acks. Inputs that have signalled done count as aligned.
+//     forwards the barrier downstream, replays the parked items in
+//     arrival order and finally acks. Inputs that have signalled done
+//     count as aligned.
 //
 // Everything here is strictly pay-for-what-you-use: a graph that never
-// sees a control element pays one nil pointer check per Transfer on
+// sees a control element pays one atomic load per Transfer on
 // multi-input edges and nothing anywhere else.
 package pubsub
 
@@ -81,59 +84,70 @@ type Gated interface {
 // like Transfer — the control takes the stream position of the call.
 func (s *SourceBase) TransferControl(c Control) {
 	for _, sub := range s.loadSubs() {
-		if cs, ok := sub.Sink.(ControlSink); ok {
+		if cs, ok := sub.Sink.(ControlSink); ok && !sub.gate.park(heldItem{ctl: c, input: sub.Input}, sub.Sink) {
 			cs.HandleControl(c, sub.Input)
 		}
 	}
 }
 
-// heldElem is one data element parked during barrier alignment.
-type heldElem struct {
+// endOfStream is the in-band form of done while it waits in a Gate or a
+// Buffer: it holds its stream position like any control and turns back
+// into a Done call when released. It never leaves the package.
+type endOfStream struct{}
+
+// ControlString implements Control.
+func (endOfStream) ControlString() string { return "done" }
+
+// heldItem is one item parked during barrier alignment: a data element,
+// or a control (ctl != nil, endOfStream for done).
+type heldItem struct {
 	e     temporal.Element
+	ctl   Control
 	input int
 }
 
 // Gate blocks individual inputs of a multi-input operator during barrier
 // alignment. The unblocked fast path is a single atomic load; the blocked
-// path locks and parks the element in arrival order.
+// path locks and parks the item — element, control or done — in arrival
+// order.
 type Gate struct {
 	blocked atomic.Uint64 // bitmask of currently blocked inputs
 
 	mu   sync.Mutex
 	sink Sink // the operator (set on first hold; replay target)
-	held []heldElem
+	held []heldItem
 }
 
-// deliver intercepts one published element. It returns true when the
-// element was parked (the caller must not invoke Process) and false when
-// the input is open and the caller should deliver normally.
-func (g *Gate) deliver(e temporal.Element, input int, sink Sink) bool {
-	if g.blocked.Load()&(1<<uint(input)) == 0 {
+// park holds it when its input is blocked and reports whether it did;
+// on false the caller delivers the item itself. A nil Gate (a sink that
+// never blocks) parks nothing.
+func (g *Gate) park(it heldItem, sink Sink) bool {
+	if g == nil || !g.blockedInput(it.input) {
 		return false
 	}
 	g.mu.Lock()
 	// Re-check under the lock: an unblock may have completed in between,
-	// and once it has, parking would reorder this element behind none.
-	if g.blocked.Load()&(1<<uint(input)) == 0 {
+	// and once it has, parking would reorder this item behind none.
+	if !g.blockedInput(it.input) {
 		g.mu.Unlock()
 		return false
 	}
 	g.sink = sink
-	g.held = append(g.held, heldElem{e: e, input: input})
+	g.held = append(g.held, it)
 	g.mu.Unlock()
 	return true
 }
 
 // blockedInput reports whether input is currently blocked — the one-load
-// frame-level check of TransferBatch. A false result is stable for the
-// caller: an input is only ever blocked from its own (serialised) control
-// stream, so it cannot flip to blocked concurrently with a data transfer
-// on the same edge.
+// check of the Transfer/TransferBatch fast path. A false result is stable
+// for the caller: an input is only ever blocked from its own (serialised)
+// control stream, so it cannot flip to blocked concurrently with a data
+// transfer on the same edge.
 func (g *Gate) blockedInput(input int) bool {
 	return g.blocked.Load()&(1<<uint(input)) != 0
 }
 
-// block marks input as blocked: subsequently published elements on it are
+// block marks input as blocked: subsequently published items on it are
 // parked until release.
 func (g *Gate) block(input int) {
 	g.mu.Lock()
@@ -141,11 +155,12 @@ func (g *Gate) block(input int) {
 	g.mu.Unlock()
 }
 
-// release unblocks every input and replays the parked elements, in
-// arrival order, into the operator, returning how many were replayed.
-// Publishers racing with the replay keep parking (the mask stays set
-// until the backlog is empty), so per-edge order is preserved; the mask
-// is cleared under the lock only when no parked element remains.
+// release unblocks every input and replays the parked items, in arrival
+// order, into the operator as Process, HandleControl or Done calls,
+// returning how many were replayed. Publishers racing with the replay
+// keep parking (the mask stays set until the backlog is empty), so
+// per-edge order is preserved; the mask is cleared under the lock only
+// when no parked item remains.
 func (g *Gate) release() int {
 	replayed := 0
 	for {
@@ -160,13 +175,20 @@ func (g *Gate) release() int {
 		g.held = nil
 		g.mu.Unlock()
 		for _, h := range batch {
-			sink.Process(h.e, h.input)
+			switch h.ctl.(type) {
+			case nil:
+				sink.Process(h.e, h.input)
+			case endOfStream:
+				sink.Done(h.input)
+			default:
+				sink.(ControlSink).HandleControl(h.ctl, h.input)
+			}
 		}
 		replayed += len(batch)
 	}
 }
 
-// Held returns the number of currently parked elements (for tests and
+// Held returns the number of currently parked items (for tests and
 // memory accounting).
 func (g *Gate) Held() int {
 	g.mu.Lock()
@@ -234,30 +256,38 @@ func (p *PipeBase) HandleControl(c Control, input int) {
 		p.barrier.seen = 0
 	}
 	p.barrier.seen |= 1 << uint(input)
-	covered := p.barrier.seen | p.closedMask.Load()
-	all := uint64(1)<<uint(p.inputs) - 1
-	if covered&all != all {
-		// Not aligned yet: block this input until the others catch up.
+	round, holdStart, aligned := p.retireAligned()
+	if !aligned {
+		// Block this input until the others catch up.
 		p.gate.block(input)
 		if p.barrier.holdStart == 0 {
 			if ref := p.fref.Load(); ref != nil {
 				p.barrier.holdStart = ref.NowNS()
 			}
 		}
-		p.barrier.mu.Unlock()
-		return
 	}
-	p.barrier.cur = nil
-	p.barrier.lastDone = b.ID
-	holdStart := p.barrier.holdStart
-	p.barrier.holdStart = 0
 	p.barrier.mu.Unlock()
-	p.completeBarrier(b, holdStart)
+	if aligned {
+		p.completeBarrier(round, holdStart)
+	}
 }
 
-// completeBarrier runs the aligned path. The caller must have retired the
-// round under barrier.mu first (cur=nil, lastDone=ID), capturing the
-// round's holdStart stamp (0 when no input ever blocked).
+// retireAligned is the one alignment check, run under barrier.mu: once
+// every input has delivered the open round's barrier or closed, it
+// retires the round and returns what completeBarrier needs.
+func (p *PipeBase) retireAligned() (Barrier, int64, bool) {
+	cur, all := p.barrier.cur, p.allInputs()
+	if cur == nil || (p.barrier.seen|p.closedMask.Load())&all != all {
+		return Barrier{}, 0, false
+	}
+	p.barrier.cur = nil
+	p.barrier.lastDone = cur.ID
+	holdStart := p.barrier.holdStart
+	p.barrier.holdStart = 0
+	return *cur, holdStart, true
+}
+
+// completeBarrier runs the aligned path of a round retireAligned retired.
 func (p *PipeBase) completeBarrier(b Barrier, holdStart int64) {
 	// 1: snapshot while quiescent. Blocked inputs are parked in the gate
 	// and the aligning input's publisher is inside this call chain, so no
@@ -269,7 +299,7 @@ func (p *PipeBase) completeBarrier(b Barrier, holdStart int64) {
 	}
 	// 2: forward downstream before anything post-barrier is processed.
 	p.TransferControl(b)
-	// 3: replay parked elements — their results are post-barrier.
+	// 3: replay parked items — their results are post-barrier.
 	replayed := 0
 	if p.inputs > 1 {
 		replayed = p.gate.release()
@@ -296,21 +326,9 @@ func (p *PipeBase) completeBarrier(b Barrier, holdStart int64) {
 // stall the round forever. Called by Done outside ProcMu.
 func (p *PipeBase) barrierInputClosed() {
 	p.barrier.mu.Lock()
-	if p.barrier.cur == nil {
-		p.barrier.mu.Unlock()
-		return
-	}
-	covered := p.barrier.seen | p.closedMask.Load()
-	all := uint64(1)<<uint(p.inputs) - 1
-	if covered&all != all {
-		p.barrier.mu.Unlock()
-		return
-	}
-	b := *p.barrier.cur
-	p.barrier.cur = nil
-	p.barrier.lastDone = b.ID
-	holdStart := p.barrier.holdStart
-	p.barrier.holdStart = 0
+	b, holdStart, aligned := p.retireAligned()
 	p.barrier.mu.Unlock()
-	p.completeBarrier(b, holdStart)
+	if aligned {
+		p.completeBarrier(b, holdStart)
+	}
 }

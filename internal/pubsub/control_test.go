@@ -260,3 +260,133 @@ func TestBarrierDeduplication(t *testing.T) {
 		t.Fatalf("sink saw %d controls, want 1 (dedupe): %v", len(sink.order), sink.order)
 	}
 }
+
+// Done on a blocked input parks behind the elements held before it:
+// OnInputDone for that input runs only after every parked element of the
+// input was processed, on the scalar and the frame lane alike.
+func TestDoneOnBlockedInputWaitsForParkedElements(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		publish func(src *SourceBase)
+		want    int
+	}{
+		{"element", func(src *SourceBase) { src.Transfer(elem(1, 10)) }, 1},
+		{"frame", func(src *SourceBase) { src.TransferBatch(temporal.Batch{elem(1, 10), elem(2, 20)}) }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			left, right := NewSourceBase("left"), NewSourceBase("right")
+			m := newMergePipe("merge")
+			if err := left.Subscribe(m, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := right.Subscribe(m, 1); err != nil {
+				t.Fatal(err)
+			}
+			atDone := -1
+			m.OnInputDone = func(input int) { // runs under ProcMu
+				if input == 0 {
+					m.mu.Lock()
+					atDone = len(m.seen)
+					m.mu.Unlock()
+				}
+			}
+
+			left.TransferControl(Barrier{ID: 1}) // blocks input 0
+			tc.publish(&left)                    // parked
+			left.SignalDone()                    // must park behind them
+			if m.InputDone(0) {
+				t.Error("input 0 closed while its elements were still parked")
+			}
+			right.TransferControl(Barrier{ID: 1}) // aligns: replay
+
+			if atDone != tc.want {
+				t.Fatalf("OnInputDone(0) ran after %d of %d parked elements", atDone, tc.want)
+			}
+			if !m.InputDone(0) {
+				t.Fatal("parked done was not replayed")
+			}
+		})
+	}
+}
+
+// markCtl is a non-barrier control: operators forward it without
+// alignment.
+type markCtl struct{ id int }
+
+func (c markCtl) ControlString() string { return "mark" }
+
+// A non-barrier control published on a blocked input parks in stream
+// position: it comes out behind the elements parked before it.
+func TestControlOnBlockedInputKeepsStreamPosition(t *testing.T) {
+	left, right := NewSourceBase("left"), NewSourceBase("right")
+	m := newMergePipe("merge")
+	sink := &ctlCollector{}
+	if err := left.Subscribe(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := right.Subscribe(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Subscribe(sink, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	left.TransferControl(Barrier{ID: 2}) // blocks input 0
+	left.Transfer(elem(1, 10))           // parked
+	left.TransferControl(markCtl{id: 1}) // parked behind elem 1
+	left.Transfer(elem(2, 20))           // parked behind the mark
+	if got := m.BarrierGate().Held(); got != 3 {
+		t.Errorf("gate holds %d items, want 3", got)
+	}
+	right.TransferControl(Barrier{ID: 2})
+
+	want := []any{Barrier{ID: 2}, elem(1, 10), markCtl{id: 1}, elem(2, 20)}
+	if len(sink.order) != len(want) {
+		t.Fatalf("sink saw %v, want %v", sink.order, want)
+	}
+	for i := range want {
+		if sink.order[i] != want[i] {
+			t.Errorf("position %d: got %v, want %v", i, sink.order[i], want[i])
+		}
+	}
+}
+
+// Done is a Buffer queue entry: it waits behind the queued elements and
+// controls and only the Drain that dequeues it propagates it.
+func TestBufferDoneWaitsBehindQueuedItems(t *testing.T) {
+	src := NewSourceBase("src")
+	buf := NewBuffer("buf")
+	sink := &ctlCollector{}
+	if err := src.Subscribe(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Subscribe(sink, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	src.Transfer(elem(1, 10))
+	src.TransferControl(Barrier{ID: 3})
+	src.SignalDone()
+	if got := buf.Len(); got != 3 {
+		t.Fatalf("buffer holds %d work units, want 3 (element, control, done)", got)
+	}
+	if n := buf.Drain(2); n != 2 {
+		t.Fatalf("Drain(2) = %d, want 2", n)
+	}
+	if sink.done || buf.IsDone() {
+		t.Fatal("done overtook its queue position")
+	}
+	if got := buf.Len(); got != 1 {
+		t.Fatalf("buffer holds %d work units after partial drain, want 1 (done)", got)
+	}
+	if n := buf.Drain(0); n != 1 {
+		t.Fatalf("final Drain = %d, want 1 (the done entry)", n)
+	}
+	if !sink.done || !buf.IsDone() {
+		t.Fatal("draining the done entry did not propagate done")
+	}
+	want := []any{elem(1, 10), Barrier{ID: 3}}
+	if len(sink.order) != len(want) || sink.order[0] != want[0] || sink.order[1] != want[1] {
+		t.Fatalf("sink saw %v, want %v", sink.order, want)
+	}
+}

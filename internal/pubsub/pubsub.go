@@ -205,7 +205,9 @@ func (s *SourceBase) Transfer(e temporal.Element) {
 		e = (*h)(e)
 	}
 	for _, sub := range s.loadSubs() {
-		if sub.gate != nil && sub.gate.deliver(e, sub.Input, sub.Sink) {
+		// The open-gate path stays one inlined load before the direct
+		// Process call; park's own checks run only on a blocked input.
+		if sub.gate != nil && sub.gate.blockedInput(sub.Input) && sub.gate.park(heldItem{e: e, input: sub.Input}, sub.Sink) {
 			continue // parked during barrier alignment; replayed on release
 		}
 		sub.Sink.Process(e, sub.Input)
@@ -231,13 +233,17 @@ func (s *SourceBase) SetFlightRef(ref *flight.OpRef) { s.fref.Store(ref) }
 // FlightRef returns the attached flight handle (nil when detached).
 func (s *SourceBase) FlightRef() *flight.OpRef { return s.fref.Load() }
 
-// SignalDone propagates end-of-stream to all subscribers exactly once.
+// SignalDone propagates end-of-stream to all subscribers exactly once. It
+// takes the stream position of the call like Transfer: on a blocked input
+// it parks behind the elements already held there.
 func (s *SourceBase) SignalDone() {
 	if !s.done.CompareAndSwap(false, true) {
 		return
 	}
 	for _, sub := range s.loadSubs() {
-		sub.Sink.Done(sub.Input)
+		if !sub.gate.park(heldItem{ctl: endOfStream{}, input: sub.Input}, sub.Sink) {
+			sub.Sink.Done(sub.Input)
+		}
 	}
 }
 
@@ -246,7 +252,7 @@ func (s *SourceBase) IsDone() bool { return s.done.Load() }
 
 // PipeBase provides the reusable consuming half of an operator on top of
 // SourceBase: a processing mutex serialising Process/Done across
-// concurrently publishing upstream sources, open-input bookkeeping and a
+// concurrently publishing upstream sources, closed-input bookkeeping and a
 // flush hook invoked once when every input has signalled done.
 //
 // Concrete operators embed PipeBase, implement Process themselves (taking
@@ -272,14 +278,13 @@ type PipeBase struct {
 	OnInputDone func(input int)
 
 	inputs int
-	closed []bool
-	open   int
 
-	// closedMask mirrors closed as an atomic bitmask so barrier alignment
-	// (control.go) can treat done inputs as aligned without taking ProcMu.
+	// closedMask has one bit per input that has signalled done. Written
+	// under ProcMu; atomic so barrier alignment (control.go) and InputDone
+	// read it without taking ProcMu.
 	closedMask atomic.Uint64
 
-	// Barrier-alignment state (control.go). gate parks elements of blocked
+	// Barrier-alignment state (control.go). gate parks items of blocked
 	// inputs; the hooks are the checkpoint coordinator's taps.
 	gate          Gate
 	barrier       barrierState
@@ -296,30 +301,31 @@ func NewPipeBase(name string, inputs int) PipeBase {
 	if inputs > 64 {
 		panic("pubsub: operator arity exceeds 64 (closedMask/barrier bitmask width)")
 	}
-	return PipeBase{
-		SourceBase: NewSourceBase(name),
-		inputs:     inputs,
-		closed:     make([]bool, inputs),
-		open:       inputs,
-	}
+	return PipeBase{SourceBase: NewSourceBase(name), inputs: inputs}
 }
 
 // Inputs returns the operator arity.
 func (p *PipeBase) Inputs() int { return p.inputs }
 
+// allInputs is the closedMask/barrier bitmask with every input set.
+func (p *PipeBase) allInputs() uint64 { return uint64(1)<<uint(p.inputs) - 1 }
+
 // Done implements Sink. It tolerates duplicate done signals per input and
 // out-of-range inputs are ignored (defensive: a miswired graph should not
 // crash the runtime).
 func (p *PipeBase) Done(input int) {
+	if input < 0 || input >= p.inputs {
+		return
+	}
 	p.ProcMu.Lock()
-	if input < 0 || input >= p.inputs || p.closed[input] {
+	mask := p.closedMask.Load()
+	if mask&(1<<uint(input)) != 0 {
 		p.ProcMu.Unlock()
 		return
 	}
-	p.closed[input] = true
-	p.closedMask.Store(p.closedMask.Load() | 1<<uint(input))
-	p.open--
-	last := p.open == 0
+	mask |= 1 << uint(input)
+	p.closedMask.Store(mask)
+	last := mask == p.allInputs()
 	if p.OnInputDone != nil {
 		p.OnInputDone(input)
 	}
@@ -335,9 +341,7 @@ func (p *PipeBase) Done(input int) {
 
 // InputDone reports whether the given input has signalled done.
 func (p *PipeBase) InputDone(input int) bool {
-	p.ProcMu.Lock()
-	defer p.ProcMu.Unlock()
-	return input >= 0 && input < p.inputs && p.closed[input]
+	return input >= 0 && input < p.inputs && p.closedMask.Load()&(1<<uint(input)) != 0
 }
 
 // Connect subscribes each pipe in the chain to its predecessor and returns

@@ -242,9 +242,9 @@ func TestBufferDecouplesAndPreservesOrder(t *testing.T) {
 	src.Subscribe(buf, 0)
 	buf.Subscribe(col, 0)
 
-	Drive(src) // all five elements land in the buffer
-	if buf.Len() != 5 {
-		t.Fatalf("buffer holds %d, want 5", buf.Len())
+	Drive(src) // all five elements and the done entry land in the buffer
+	if buf.Len() != 6 {
+		t.Fatalf("buffer holds %d, want 6 (5 elements + done)", buf.Len())
 	}
 	if col.Len() != 0 {
 		t.Fatal("buffer leaked elements before Drain")
@@ -265,11 +265,12 @@ func TestBufferDecouplesAndPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestBufferDoneOnEmptyPropagatesImmediately(t *testing.T) {
+func TestBufferDoneOnEmptyPropagatesOnDrain(t *testing.T) {
 	buf := NewBuffer("buf")
 	col := NewCollector("col", 1)
 	buf.Subscribe(col, 0)
 	buf.Done(0)
+	buf.Drain(0)
 	col.Wait()
 }
 

@@ -117,7 +117,7 @@ func TestBufferDoneNeverOvertakesDrainedElements(t *testing.T) {
 		wg.Add(2)
 		go func() { // the drainer (a scheduler worker)
 			defer wg.Done()
-			for buf.Drain(7) > 0 || !buf.UpstreamDone() {
+			for buf.Drain(7) > 0 || !buf.IsDone() {
 			}
 			buf.Drain(0)
 		}()

@@ -117,8 +117,7 @@ func (t *EmitterTask) Backlog() int {
 // executes the entire downstream virtual node synchronously (direct
 // connections), so one BufferTask represents one fused virtual node.
 type BufferTask struct {
-	buf  *pubsub.Buffer
-	done bool
+	buf *pubsub.Buffer
 
 	// static profile used by profile-driven strategies when no live
 	// metadata is attached.
@@ -144,14 +143,11 @@ func (t *BufferTask) Name() string { return t.buf.Name() }
 // attaches to the buffer itself, like flight-recorder handles).
 func (t *BufferTask) Buffer() *pubsub.Buffer { return t.buf }
 
-// RunBatch implements Task.
+// RunBatch implements Task: the task is finished once the drain has
+// forwarded the buffer's done entry.
 func (t *BufferTask) RunBatch(max int) (int, bool) {
 	n := t.buf.Drain(max)
-	if t.buf.UpstreamDone() && t.buf.Len() == 0 {
-		// Drain(0 remaining) has propagated done downstream.
-		t.done = true
-	}
-	return n, t.done
+	return n, t.buf.IsDone()
 }
 
 // Backlog implements Task.
@@ -192,7 +188,7 @@ type TaskStats struct {
 // trackedTask decorates a task with an activation lock and stats. The
 // activation lock (running) guarantees at most one worker executes the
 // task at any moment — the single-owner rule that makes work stealing and
-// idle-sweep polling race-free without any locking inside tasks.
+// backlog polling race-free without any locking inside tasks.
 type trackedTask struct {
 	Task
 	running atomic.Bool // activation lock

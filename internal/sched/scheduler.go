@@ -147,27 +147,27 @@ func (s *Scheduler) Start() {
 	}
 }
 
-// runTask runs one batch of t if its activation lock is free. It returns
-// whether the batch ran and, if so, how much progress it made.
-func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) (ran bool, n int, fin bool) {
+// runTask runs one batch of t if its activation lock is free and reports
+// whether the batch ran.
+func (s *Scheduler) runTask(t *trackedTask, batch int, stolen bool) bool {
 	if t.isDone() {
-		return false, 0, false
+		return false
 	}
 	if !t.tryAcquire() {
 		s.conflicts.Add(1)
-		return false, 0, false
+		return false
 	}
 	defer t.release()
 	if t.isDone() {
-		return false, 0, false
+		return false
 	}
-	n, fin = t.RunBatch(batch)
+	n, fin := t.RunBatch(batch)
 	s.batches.Add(1)
 	t.observe(n, stolen)
 	if fin && t.markDone() {
 		s.finished.Add(1)
 	}
-	return true, n, fin
+	return true
 }
 
 func (s *Scheduler) runWorker(w int) {
@@ -191,29 +191,19 @@ func (s *Scheduler) runWorker(w int) {
 		}
 		if len(raw) > 0 {
 			if idx := strategy.Next(raw); idx >= 0 {
-				if ran, _, _ := s.runTask(mine[idx], s.cfg.BatchSize, false); ran {
+				if s.runTask(mine[idx], s.cfg.BatchSize, false) {
 					continue
 				}
 				// Lost the task to a stealing worker; fall through.
 			}
 		}
-		// Nothing ready locally. Sweep own tasks once: a task whose
-		// upstream completed while its backlog reads 0 still needs a final
-		// batch to detect completion and propagate done.
-		progressed := false
-		for _, t := range mine {
-			if ran, n, fin := s.runTask(t, s.cfg.BatchSize, false); ran && (n > 0 || fin) {
-				progressed = true
-			}
-		}
-		if !progressed && !s.cfg.DisableStealing && len(s.tasks) > 1 {
+		// Nothing ready locally. (A buffer's pending done counts as
+		// backlog, so strategies pick finishing buffers up like any work.)
+		if !s.cfg.DisableStealing && len(s.tasks) > 1 {
 			if s.trySteal(w) {
 				continue
 			}
 			s.stealMiss.Add(1)
-		}
-		if progressed {
-			continue
 		}
 		if s.cfg.IdleSleep > 0 {
 			time.Sleep(s.cfg.IdleSleep)
@@ -233,7 +223,7 @@ func (s *Scheduler) trySteal(w int) bool {
 			if t.isDone() || t.Backlog() == 0 {
 				continue
 			}
-			if ran, _, _ := s.runTask(t, s.cfg.BatchSize, true); ran {
+			if s.runTask(t, s.cfg.BatchSize, true) {
 				s.steals.Add(1)
 				if ref := s.stealRef.Load(); ref != nil {
 					ref.Phase(flight.KindSteal, int64(w), int64(victim), 0)
